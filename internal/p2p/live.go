@@ -1,15 +1,16 @@
 // Shared machinery of the live transports (Loopback, UDP): a single
 // serializing event loop standing in for the simulation kernel's
-// single-threaded event dispatch, wall-clock timers posting into it, and
-// the Transport bookkeeping (nodes, groups, metrics, typed handlers) that
-// does not depend on how envelopes travel.
+// single-threaded event dispatch, one deadline heap of wall-clock timers
+// drained by that loop, and the Transport bookkeeping (nodes, groups,
+// metrics, typed handlers) that does not depend on how envelopes travel.
 //
 // The contract the loop preserves is the one every protocol in this
 // package was written against: all protocol callbacks — handlers, reply
 // and timeout closures, timers — run one at a time, in one goroutine, so
-// protocol state needs no locks. Sockets and timers run on their own
-// goroutines but only ever post closures into the loop; the loop is the
-// only place Node maps and Metrics are touched once traffic flows.
+// protocol state needs no locks. Sockets run on their own goroutines but
+// only ever post closures into the loop, and timers fire from the loop's
+// own heap; the loop is the only place Node maps and Metrics are touched
+// once traffic flows.
 
 package p2p
 
@@ -25,19 +26,54 @@ import (
 )
 
 // liveLoop is the serializing event loop: an unbounded FIFO of closures
-// drained by one goroutine. Posting never blocks (the queue grows), so
-// callbacks running on the loop can post freely without deadlock.
+// and a deadline heap of timers, both drained by one goroutine. Posting
+// and scheduling never block (the queue and heap grow), so callbacks
+// running on the loop can post freely without deadlock.
+//
+// The heap holds every wall-clock timer of the transport: After,
+// AfterHandler, request expiries and loopback deliveries. It is ordered
+// by (deadline, sequence number), so timers due together fire in the
+// order they were scheduled, and one time.Timer wakes the loop for the
+// earliest deadline, re-armed only when that deadline changes. A request
+// answered before its deadline leaves its entry parked; the entry pops
+// into Node.expire, which ignores IDs no longer in flight. The heap is
+// guarded by mu like the queue, so setup code may schedule from off the
+// loop (the fault plan's crash timers do), but only the loop goroutine
+// fires its entries.
 type liveLoop struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []func()
+	head   int // queue[head:] is pending; the array is reused, not regrown
 	closed bool
 	done   chan struct{}
+
+	start  time.Time
+	timers []liveTimer
+	seq    uint64
+	timer  *time.Timer
+	armed  time.Duration // deadline the timer is set for; -1 when idle
+	due    bool          // the timer fired since the loop last drained
+	// expire fires a request expiry entry (see liveBase.timeoutAt).
+	expire func(node NodeID, msgID uint64)
 }
 
-func newLiveLoop() *liveLoop {
-	l := &liveLoop{done: make(chan struct{})}
+// liveTimer is one parked deadline. It runs fn if set, else h(arg) if h
+// is set, else it is the expiry of request arg at node.
+type liveTimer struct {
+	at   time.Duration // since liveLoop.start
+	seq  uint64
+	fn   func()
+	h    func(arg uint64)
+	arg  uint64
+	node NodeID
+}
+
+func newLiveLoop(expire func(NodeID, uint64)) *liveLoop {
+	l := &liveLoop{done: make(chan struct{}), start: time.Now(), armed: -1, expire: expire}
 	l.cond = sync.NewCond(&l.mu)
+	l.timer = time.AfterFunc(time.Hour, l.wake)
+	l.timer.Stop()
 	go l.run()
 	return l
 }
@@ -51,33 +87,139 @@ func (l *liveLoop) post(fn func()) bool {
 		l.mu.Unlock()
 		return false
 	}
+	if l.head > 0 && len(l.queue) == cap(l.queue) { // reclaim the run prefix before growing
+		n := copy(l.queue, l.queue[l.head:])
+		clear(l.queue[n:])
+		l.queue, l.head = l.queue[:n], 0
+	}
 	l.queue = append(l.queue, fn)
 	l.mu.Unlock()
 	l.cond.Signal()
 	return true
 }
 
+// schedule parks t to fire on the loop after d. Dropped after close.
+func (l *liveLoop) schedule(d time.Duration, t liveTimer) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return
+	}
+	now := time.Since(l.start)
+	t.at, t.seq = now+d, l.seq
+	l.seq++
+	l.push(t)
+	if l.armed < 0 || t.at < l.armed {
+		l.armed = t.at
+		l.timer.Reset(d)
+	}
+}
+
+// wake is the timer's callback: it flags the heap for a drain.
+func (l *liveLoop) wake() {
+	l.mu.Lock()
+	l.due, l.armed = true, -1
+	l.mu.Unlock()
+	l.cond.Signal()
+}
+
 func (l *liveLoop) run() {
 	l.mu.Lock()
 	for {
-		for len(l.queue) == 0 && !l.closed {
+		for l.head == len(l.queue) && !l.due && !l.closed {
 			l.cond.Wait()
 		}
-		if len(l.queue) == 0 { // closed and drained
+		if l.due && !l.closed {
+			l.due = false
+			l.drain()
+			continue
+		}
+		if l.head == len(l.queue) { // closed and drained
 			l.mu.Unlock()
 			close(l.done)
 			return
 		}
-		fn := l.queue[0]
-		l.queue[0] = nil
-		l.queue = l.queue[1:]
+		fn := l.queue[l.head]
+		l.queue[l.head] = nil
+		if l.head++; l.head == len(l.queue) {
+			l.queue, l.head = l.queue[:0], 0
+		}
 		l.mu.Unlock()
 		fn()
 		l.mu.Lock()
 	}
 }
 
-// close drains the already-queued closures, then stops the goroutine.
+// drain fires every timer already due when it starts, then re-arms the
+// timer for the earliest deadline left. Timers the fired callbacks
+// schedule wait for the next wake, so a self-rescheduling zero-delay timer
+// cannot starve the queue. Called with mu held; released around each
+// callback.
+func (l *liveLoop) drain() {
+	now, limit := time.Since(l.start), l.seq
+	for !l.closed && len(l.timers) > 0 && l.timers[0].at <= now && l.timers[0].seq < limit {
+		t := l.pop()
+		l.mu.Unlock()
+		switch {
+		case t.fn != nil:
+			t.fn()
+		case t.h != nil:
+			t.h(t.arg)
+		default:
+			l.expire(t.node, t.arg)
+		}
+		l.mu.Lock()
+	}
+	if !l.closed && len(l.timers) > 0 && (l.armed < 0 || l.timers[0].at < l.armed) {
+		l.armed = l.timers[0].at
+		l.timer.Reset(l.armed - time.Since(l.start))
+	}
+}
+
+// before orders the heap by deadline, then by scheduling order.
+func (l *liveLoop) before(i, j int) bool {
+	a, b := &l.timers[i], &l.timers[j]
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+func (l *liveLoop) push(t liveTimer) {
+	l.timers = append(l.timers, t)
+	for i := len(l.timers) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !l.before(i, p) {
+			break
+		}
+		l.timers[i], l.timers[p] = l.timers[p], l.timers[i]
+		i = p
+	}
+}
+
+func (l *liveLoop) pop() liveTimer {
+	h := l.timers
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h[last] = liveTimer{} // drop the closure references
+	l.timers = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && l.before(c+1, c) {
+			c++
+		}
+		if !l.before(c, i) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return top
+}
+
+// close discards the parked timers, drains the already-queued closures,
+// then stops the goroutine.
 func (l *liveLoop) close() {
 	l.mu.Lock()
 	if l.closed {
@@ -86,6 +228,8 @@ func (l *liveLoop) close() {
 		return
 	}
 	l.closed = true
+	l.timer.Stop()
+	l.timers = nil
 	l.mu.Unlock()
 	l.cond.Signal()
 	<-l.done
@@ -139,8 +283,8 @@ func (b *liveBase) init(self Transport, pop int, cfg Config) {
 		cfg.RPCTimeout = DefaultConfig().RPCTimeout
 	}
 	b.self = self
-	b.loop = newLiveLoop()
-	b.start = time.Now()
+	b.loop = newLiveLoop(b.fireExpiry)
+	b.start = b.loop.start
 	b.cfg = cfg
 	b.pop = pop
 	b.nodes = make([]*Node, pop)
@@ -215,7 +359,7 @@ func (b *liveBase) Now(NodeID) time.Duration { return time.Since(b.start) }
 
 // After schedules fn on the event loop after d of wall-clock time.
 func (b *liveBase) After(_ NodeID, d time.Duration, fn func()) {
-	time.AfterFunc(d, func() { b.loop.post(fn) })
+	b.loop.schedule(d, liveTimer{fn: fn})
 }
 
 // RegisterHandler registers a typed-event handler, the live counterpart of
@@ -236,7 +380,7 @@ func (b *liveBase) AfterHandler(d time.Duration, h sim.HandlerID, arg uint64) {
 	b.mu.RLock()
 	fn := b.handlers[h]
 	b.mu.RUnlock()
-	time.AfterFunc(d, func() { b.loop.post(func() { fn(arg) }) })
+	b.loop.schedule(d, liveTimer{h: fn, arg: arg})
 }
 
 // Sharded reports false: live transports run one event loop.
@@ -311,17 +455,19 @@ func (b *liveBase) groupMembers(gname string) []NodeID {
 // allocMsgIDFor hands out transport-unique correlation IDs.
 func (b *liveBase) allocMsgIDFor(NodeID) uint64 { return b.msgID.Add(1) }
 
-// timeoutAt schedules a request expiry for (node, msgID) after d.
+// timeoutAt schedules a request expiry for (node, msgID) after d: a
+// closure-free heap entry, fired by fireExpiry.
 func (b *liveBase) timeoutAt(d time.Duration, node NodeID, msgID uint64) {
 	b.metrics.ExpiriesScheduled++ // on loop: Request runs there
-	time.AfterFunc(d, func() {
-		b.loop.post(func() {
-			b.metrics.ExpiriesFired++
-			if n := b.Node(node); n != nil {
-				n.expire(msgID)
-			}
-		})
-	})
+	b.loop.schedule(d, liveTimer{node: node, arg: msgID})
+}
+
+// fireExpiry runs a request expiry entry on the loop.
+func (b *liveBase) fireExpiry(node NodeID, msgID uint64) {
+	b.metrics.ExpiriesFired++
+	if n := b.Node(node); n != nil {
+		n.expire(msgID)
+	}
 }
 
 // defaultRPCTimeout is the expiry used when a caller passes none.

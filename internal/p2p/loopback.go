@@ -1,8 +1,6 @@
 package p2p
 
 import (
-	"time"
-
 	"nearestpeer/internal/faults"
 	"nearestpeer/internal/latency"
 	"nearestpeer/internal/rng"
@@ -10,11 +8,10 @@ import (
 
 // Loopback is the in-process live transport: real goroutines and
 // wall-clock timers, with link delays priced from the same latency matrix
-// the simulator uses. Envelopes never touch a socket — each send arms a
-// wall-clock timer for the one-way delay and posts delivery to the event
-// loop — so the protocol stack runs exactly as deployed (concurrent
-// timers, real races between timeouts and replies) while links still obey
-// the matrix. The differential conformance tests run seeded workloads here
+// the simulator uses. Envelopes never touch a socket — each send parks its
+// delivery in the event loop's deadline heap for the one-way delay — so
+// the protocol stack runs exactly as deployed (concurrent timers, real
+// races between timeouts and replies) while links still obey the matrix. The differential conformance tests run seeded workloads here
 // and check the results against the simulated oracle.
 type Loopback struct {
 	liveBase
@@ -35,8 +32,8 @@ func NewLoopback(m latency.Matrix, cfg Config, seed int64) *Loopback {
 func (lb *Loopback) Close() { lb.loop.close() }
 
 // send prices the envelope's one-way delay from the matrix, applies the
-// loss model, and arms a wall-clock timer that posts delivery to the
-// event loop. Runs on the loop (all sends originate in Node methods).
+// loss model, and parks the delivery on the event loop's deadline heap.
+// Runs on the loop (all sends originate in Node methods).
 func (lb *Loopback) send(env Envelope) {
 	lb.metrics.MsgsSent++
 	if lb.cfg.LossProb > 0 && lb.loss.Float64() < lb.cfg.LossProb {
@@ -58,15 +55,13 @@ func (lb *Loopback) send(env Envelope) {
 		lb.metrics.FaultDelayed++
 	}
 	deliver := func() {
-		lb.loop.post(func() {
-			n := lb.Node(env.To)
-			if n == nil || !n.alive {
-				lb.metrics.MsgsDead++
-				return
-			}
-			lb.metrics.MsgsDelivered++
-			n.deliver(env)
-		})
+		n := lb.Node(env.To)
+		if n == nil || !n.alive {
+			lb.metrics.MsgsDead++
+			return
+		}
+		lb.metrics.MsgsDelivered++
+		n.deliver(env)
 	}
 	copies := 1
 	if fd.Dup {
@@ -76,10 +71,10 @@ func (lb *Loopback) send(env Envelope) {
 	}
 	for c := 0; c < copies; c++ {
 		if d <= 0 {
-			deliver()
+			lb.loop.post(deliver)
 			continue
 		}
-		time.AfterFunc(d, func() { deliver() })
+		lb.loop.schedule(d, liveTimer{fn: deliver})
 	}
 }
 

@@ -92,8 +92,9 @@ func (n *Node) Send(to NodeID, typ string, payload any) uint64 {
 // returned for tests and tracing.
 //
 // The timeout is a typed kernel event carrying a slab slot (see
-// Runtime.timeoutAt), not a closure: protocol-heavy runs park millions of
-// requests, and the expiry bookkeeping itself must not allocate.
+// Runtime.timeoutAt; on the live transports, a closure-free entry in the
+// loop's deadline heap), not a closure: protocol-heavy runs park millions
+// of requests, and the expiry bookkeeping itself must not allocate.
 func (n *Node) Request(to NodeID, typ string, payload any, timeout time.Duration, onReply func(Envelope), onTimeout func()) uint64 {
 	if timeout <= 0 {
 		timeout = n.rt.defaultRPCTimeout()

@@ -18,6 +18,7 @@ package p2p
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,6 +45,10 @@ type UDP struct {
 	// RTTs and a ping measures ≈ the matrix entry — the hook the CI smoke
 	// test uses to cross-check `nearest` against the static oracle.
 	delay atomic.Pointer[latency.Matrix]
+
+	// sendBuf is the frame buffer send encodes into, reused across sends
+	// (loop-confined: send runs on the loop).
+	sendBuf []byte
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -208,88 +213,95 @@ func (u *UDP) send(env Envelope) {
 		u.metrics.MsgsDead++
 		return
 	}
-	frame, err := EncodeEnvelope(env)
+	frame, err := appendEnvelope(u.sendBuf[:0], env)
 	if err != nil {
 		u.metrics.MsgsDead++
 		return
 	}
+	u.sendBuf = frame
 	copies := 1
 	if fd.Dup {
 		copies = 2
 		u.metrics.MsgsSent++
 		u.metrics.FaultDuplicated++
 	}
-	// write may run off-loop (the delayed path), so error accounting posts
-	// back to the loop rather than touching loop-confined metrics directly.
-	write := func() {
-		for c := 0; c < copies; c++ {
-			if _, err := src.WriteToUDP(frame, dst); err != nil {
-				u.loop.post(func() { u.metrics.MsgsDead++ })
-			}
-		}
-	}
 	if fd.ExtraMs > 0 {
 		u.metrics.FaultDelayed++
-		time.AfterFunc(durOf(fd.ExtraMs), write)
+		frame = append([]byte(nil), frame...) // sendBuf is reused before the timer fires
+		time.AfterFunc(durOf(fd.ExtraMs), func() { u.write(src, dst, frame, copies) })
 		return
 	}
-	write()
+	u.write(src, dst, frame, copies)
+}
+
+// write sends copies of a frame. It may run off-loop (the delayed path), so
+// error accounting posts back to the loop rather than touching
+// loop-confined metrics directly.
+func (u *UDP) write(src *net.UDPConn, dst *net.UDPAddr, frame []byte, copies int) {
+	for c := 0; c < copies; c++ {
+		if _, err := src.WriteToUDP(frame, dst); err != nil {
+			u.loop.post(func() { u.metrics.MsgsDead++ })
+		}
+	}
 }
 
 // Multicast is unsupported on UDP: with no link oracle there is no
 // latency scope to expand. It reports zero copies sent.
 func (u *UDP) Multicast(NodeID, string, string, any, float64) int { return 0 }
 
-// readLoop drains one local node's socket: decode, learn the sender's
-// address, price the artificial delay if a matrix is installed, and post
-// delivery to the event loop. It exits when the socket closes.
+// readLoop drains one local node's socket: decode straight from the read
+// buffer (the decoder copies out everything the envelope keeps), learn the
+// sender's address, price the artificial delay if a matrix is installed,
+// and post one delivery closure to the event loop. It exits when the
+// socket closes.
 func (u *UDP) readLoop(self NodeID, conn *net.UDPConn) {
 	defer u.wg.Done()
 	buf := make([]byte, MaxFrame+1)
 	for {
-		n, raddr, err := conn.ReadFromUDP(buf)
+		n, raddr, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed (or broken): this node is done receiving
 		}
-		env, err := DecodeEnvelope(append([]byte(nil), buf[:n]...))
+		env, err := DecodeEnvelope(buf[:n])
 		if err != nil {
 			u.loop.post(func() { u.metrics.MsgsDead++ })
 			continue
 		}
 		env.To = self // trust the socket, not the frame
 		u.learnPeer(env.From, raddr)
-		deliver := func() {
-			u.loop.post(func() {
-				node := u.Node(self)
-				if node == nil || !node.alive {
-					u.metrics.MsgsDead++
-					return
-				}
-				u.metrics.MsgsDelivered++
-				node.deliver(env)
-			})
-		}
+		deliver := func() { u.deliver(env) }
 		if d := u.artificialDelay(env); d > 0 {
-			time.AfterFunc(d, func() { deliver() })
+			time.AfterFunc(d, func() { u.loop.post(deliver) })
 		} else {
-			deliver()
+			u.loop.post(deliver)
 		}
 	}
+}
+
+// deliver hands a received envelope to its local node. Runs on the loop.
+func (u *UDP) deliver(env Envelope) {
+	node := u.Node(env.To)
+	if node == nil || !node.alive {
+		u.metrics.MsgsDead++
+		return
+	}
+	u.metrics.MsgsDelivered++
+	node.deliver(env)
 }
 
 // learnPeer records a sender's address, last-seen wins — the path that
 // lets ephemeral clients be answered, including a client that re-binds a
 // fresh port under a previously seen NodeID (successive CLI invocations).
-func (u *UDP) learnPeer(from NodeID, raddr *net.UDPAddr) {
+func (u *UDP) learnPeer(from NodeID, raddr netip.AddrPort) {
 	u.pmu.RLock()
 	_, isLocal := u.conns[from]
 	known := u.peers[from]
 	u.pmu.RUnlock()
-	if isLocal || (known != nil && known.IP.Equal(raddr.IP) && known.Port == raddr.Port) {
+	if isLocal || (known != nil && known.Port == int(raddr.Port()) && known.IP.Equal(raddr.Addr().AsSlice())) {
 		return
 	}
 	u.pmu.Lock()
-	u.peers[from] = raddr
+	u.peers[from] = net.UDPAddrFromAddrPort(raddr)
 	u.pmu.Unlock()
 }
 

@@ -368,3 +368,42 @@ func TestUDPCloseNodeRebind(t *testing.T) {
 		t.Fatal("ping never resolved")
 	}
 }
+
+// TestUDPMeridianQuery runs a Meridian closest-node query over real
+// datagrams. Every query's first hop carries BestLat = +Inf, which the
+// codec must carry rather than refuse and dead-letter.
+func TestUDPMeridianQuery(t *testing.T) {
+	const pop = 6
+	u := NewUDP(pop, Config{RPCTimeout: time.Second}, 1)
+	defer u.Close()
+	for id := 0; id < pop; id++ {
+		if _, err := u.Listen(NodeID(id), ""); err != nil {
+			t.Fatalf("listen %d: %v", id, err)
+		}
+	}
+	u.SetDelayMatrix(lineMatrix(pop)) // RTT(i,j) = 10 ms × |i-j|
+	cfg := DefaultMeridianConfig()
+	cfg.RPCTimeout = time.Second
+	mer := NewMeridian(u, cfg, 1)
+	u.Do(func() {
+		for id := 0; id < pop-1; id++ {
+			mer.Join(NodeID(id))
+		}
+	})
+	time.Sleep(300 * time.Millisecond) // the join pings fill the rings
+	got := make(chan QueryResult, 1)
+	u.Do(func() { mer.FindNearest(pop-1, pop-1, func(r QueryResult) { got <- r }) })
+	select {
+	case r := <-got:
+		if !r.Completed || r.Peer < 0 || r.LatencyMs <= 0 {
+			t.Fatalf("query over UDP found no member: %+v", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("query never reported")
+	}
+	u.Do(func() {
+		if dead := u.SerialMetrics().MsgsDead; dead != 0 {
+			t.Errorf("%d envelopes dead-lettered", dead)
+		}
+	})
+}

@@ -58,7 +58,8 @@ type Metrics struct {
 	// MaintProbes counts maintenance RTT measurements issued.
 	MaintProbes int64
 	// ExpiriesScheduled counts request-expiry events parked in the timeout
-	// slab; ExpiriesFired counts those that ran. The difference is the
+	// slab (the live transports' deadline heap); ExpiriesFired counts those
+	// that ran. The difference is the
 	// number of expiry records still pending — the accounting identity the
 	// invariants tests assert.
 	ExpiriesScheduled int64
